@@ -1,12 +1,12 @@
-// Replica apply lag as a function of primary write rate, plus the
-// parallel-vs-serial catch-up ablation. A primary and a replica share one
-// MemoryObjectStore; the replica's background tailer polls on a short
-// wall-clock cadence, and each burst of primary commits is timed from its
-// last ack to the moment the replica watermark reaches the tip (the lag a
-// read-your-writes client would observe). The catch-up half replays the
-// full journal cold through JournalReplayer::Bootstrap at parallelism 1
-// and 4 — the parallel scan must produce a bit-identical state; the
-// speedup is reported but not gated (CI runners may have one core).
+// Replica apply lag as a function of primary write rate, plus a cold
+// catch-up check. A primary and a replica share one MemoryObjectStore; the
+// replica's background tailer polls on a short wall-clock cadence, and
+// each burst of primary commits is timed from its last ack to the moment
+// the replica watermark reaches the tip (the lag a read-your-writes client
+// would observe). The catch-up half replays the full journal cold through
+// JournalReplayer::Bootstrap, times it, and gates that the result equals
+// the tailed replica's catalog at the same watermark: the checkpoint path
+// and the tail path must agree on commit_seq and on every row.
 
 #include <algorithm>
 #include <chrono>
@@ -48,8 +48,8 @@ int main() {
   primary_options.num_cells = 2;
   primary_options.worker_threads = 2;
   primary_options.sampler_period_micros = 0;
-  // Many small segments (so the catch-up ablation has real fan-out) and
-  // no automatic checkpoint (so cold bootstrap replays the whole log).
+  // Many small segments and no automatic checkpoint, so the cold
+  // bootstrap replays the whole log across many segment boundaries.
   primary_options.journal_options.records_per_segment = 8;
   primary_options.journal_options.checkpoint_every_records = 1u << 30;
 
@@ -153,58 +153,56 @@ int main() {
     return 1;
   }
 
-  // --- Cold catch-up: serial vs parallel segment scan ---------------------
+  // --- Cold catch-up: bootstrap vs the tailed replica ---------------------
   polaris::catalog::JournalReplayer replayer(
       &store, primary_options.journal_options);
-  auto timed_bootstrap = [&](size_t parallelism, double* ms)
-      -> polaris::common::Result<
-          polaris::catalog::JournalReplayer::BootstrapResult> {
-    auto t0 = std::chrono::steady_clock::now();
-    auto result = replayer.Bootstrap(parallelism);
-    *ms = std::chrono::duration<double, std::milli>(
-              std::chrono::steady_clock::now() - t0)
-              .count();
-    return result;
-  };
-  double serial_ms = 0, parallel_ms = 0;
-  auto serial = timed_bootstrap(1, &serial_ms);
-  auto parallel = timed_bootstrap(4, &parallel_ms);
-  if (!serial.ok() || !parallel.ok()) {
-    std::fprintf(stderr, "bootstrap failed\n");
+  auto t0 = std::chrono::steady_clock::now();
+  auto cold = replayer.Bootstrap();
+  const double catchup_ms = std::chrono::duration<double, std::milli>(
+                                std::chrono::steady_clock::now() - t0)
+                                .count();
+  if (!cold.ok()) {
+    std::fprintf(stderr, "bootstrap failed: %s\n",
+                 cold.status().ToString().c_str());
     return 1;
   }
-  // The parallel scan must be bit-identical to the serial one.
-  if (serial->state.commit_seq != parallel->state.commit_seq ||
-      serial->state.records_replayed != parallel->state.records_replayed ||
-      serial->state.rows != parallel->state.rows) {
-    std::fprintf(stderr, "parallel bootstrap diverged from serial scan\n");
-    return 1;
-  }
-  if (serial->state.commit_seq != primary_seq) {
-    std::fprintf(stderr, "bootstrap stopped at %llu, primary at %llu\n",
-                 static_cast<unsigned long long>(serial->state.commit_seq),
+  uint64_t tailed_seq = 0;
+  const auto tailed_rows =
+      replica->catalog()->store()->ExportLatest(&tailed_seq);
+  if (cold->state.commit_seq != primary_seq || tailed_seq != primary_seq) {
+    std::fprintf(stderr,
+                 "bootstrap stopped at %llu, tailed replica at %llu, primary "
+                 "at %llu\n",
+                 static_cast<unsigned long long>(cold->state.commit_seq),
+                 static_cast<unsigned long long>(tailed_seq),
                  static_cast<unsigned long long>(primary_seq));
     return 1;
   }
-  double speedup = parallel_ms > 0 ? serial_ms / parallel_ms : 0;
+  if (cold->state.rows != tailed_rows) {
+    std::fprintf(stderr,
+                 "cold bootstrap (%zu rows) diverged from the tailed replica "
+                 "(%zu rows) at seq %llu\n",
+                 cold->state.rows.size(), tailed_rows.size(),
+                 static_cast<unsigned long long>(primary_seq));
+    return 1;
+  }
   std::printf(
-      "\ncold catch-up over %llu segments: serial %.2fms, parallel(4) "
-      "%.2fms, speedup %.2fx\n",
-      static_cast<unsigned long long>(serial->state.segments_scanned),
-      serial_ms, parallel_ms, speedup);
+      "\ncold catch-up over %llu segments (%llu records): %.2fms, equal to "
+      "the tailed replica at seq %llu\n",
+      static_cast<unsigned long long>(cold->state.segments_scanned),
+      static_cast<unsigned long long>(cold->state.records_replayed),
+      catchup_ms, static_cast<unsigned long long>(primary_seq));
   report.AddRow()
-      .Add("catchup_segments", serial->state.segments_scanned)
-      .Add("catchup_records", serial->state.records_replayed)
-      .Add("catchup_serial_ms", serial_ms)
-      .Add("catchup_parallel_ms", parallel_ms)
-      .Add("catchup_speedup", speedup);
+      .Add("catchup_segments", cold->state.segments_scanned)
+      .Add("catchup_records", cold->state.records_replayed)
+      .Add("catchup_serial_ms", catchup_ms);
 
   report.SetMetrics(replica->MetricsSnapshot());
   std::printf(
       "\nshape check: apply lag tracks the poll cadence (a few ms), not the "
-      "burst\nsize — the tailer drains a whole burst in one poll. The "
-      "parallel cold\ncatch-up is bit-identical to the serial scan; its "
-      "speedup approaches the\ncore count on multi-core hosts.\n");
+      "burst\nsize — the tailer drains a whole burst in one poll. A cold "
+      "bootstrap of the\njournal reproduces the tailed replica's catalog "
+      "exactly.\n");
   report.Write();
   return 0;
 }

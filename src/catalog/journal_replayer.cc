@@ -1,8 +1,8 @@
 #include "catalog/journal_replayer.h"
 
-#include <algorithm>
+#include <functional>
 #include <map>
-#include <thread>
+#include <string_view>
 
 #include "catalog/journal_format.h"
 #include "common/bytes.h"
@@ -17,48 +17,42 @@ namespace jf = journal_format;
 
 namespace {
 
-/// Per-segment scan product. `end_offset` is the byte position just past
-/// the last frame that parsed cleanly — the resumable offset for that
-/// segment. `clean` is false when trailing bytes failed to parse (torn
-/// tail or poisoned remnant).
-struct SegmentScan {
-  std::vector<jf::ParsedRecord> records;
-  uint64_t end_offset = 0;
-  bool clean = true;
-  Status status = Status::OK();
-};
-
-void ScanSegment(storage::ObjectStore* store, const JournalSegmentInfo& seg,
-                 SegmentScan* out) {
-  auto blob = store->Get(seg.path);
-  if (!blob.ok()) {
-    out->status = blob.status();
-    return;
-  }
-  common::ByteReader in(*blob);
+/// The journal frame loop shared by Bootstrap and TailOnce. Parses
+/// `segment` from cursor->byte_offset on, hands every record above
+/// cursor->applied_seq to `apply` (a non-OK status aborts with the cursor
+/// still before that record), and advances the cursor past each clean
+/// frame. Returns true when it stopped at a torn frame, the cursor held
+/// just before it; false once the segment is exhausted. What a torn frame
+/// means is the caller's decision.
+Result<bool> ReplaySegment(
+    std::string_view segment, ReplayCursor* cursor,
+    const std::function<Status(jf::ParsedRecord*)>& apply) {
+  const uint64_t base = cursor->byte_offset;
+  common::ByteReader in(segment.substr(base));
   while (!in.AtEnd()) {
     jf::ParsedRecord record;
     jf::EpochMarker marker;
     switch (jf::ParseFrame(&in, &record, &marker)) {
       case jf::FrameKind::kTorn:
-        out->clean = false;
-        return;
+        return true;
       case jf::FrameKind::kEpoch:
         // Epoch stamps/seals carry no catalog state; skip past them.
-        out->end_offset = in.position();
         break;
       case jf::FrameKind::kRecord:
-        out->end_offset = in.position();
-        out->records.push_back(std::move(record));
+        if (record.commit_seq > cursor->applied_seq) {
+          POLARIS_RETURN_IF_ERROR(apply(&record));
+          cursor->applied_seq = record.commit_seq;
+        }
         break;
     }
+    cursor->byte_offset = base + in.position();
   }
+  return false;
 }
 
 }  // namespace
 
-Result<JournalReplayer::BootstrapResult> JournalReplayer::Bootstrap(
-    size_t parallelism) const {
+Result<JournalReplayer::BootstrapResult> JournalReplayer::Bootstrap() const {
   BootstrapResult result;
   auto& state = result.state;
 
@@ -80,69 +74,44 @@ Result<JournalReplayer::BootstrapResult> JournalReplayer::Bootstrap(
   // --- Journal tail replay -------------------------------------------------
   // ListJournalSegmentsSince(checkpoint_seq + 1) is exactly the O(tail)
   // replay set: every segment fully covered by the checkpoint is pruned,
-  // the straddling one is kept (its covered records are skipped by the
-  // `seq <= last_seq` check in the merge below).
-  uint64_t last_seq = state.checkpoint_seq;
+  // the straddling one is kept (its covered records are skipped because
+  // they sit at or below the cursor's applied_seq).
+  ReplayCursor& cursor = result.cursor;
+  cursor.applied_seq = state.checkpoint_seq;
   POLARIS_ASSIGN_OR_RETURN(
       auto replay,
       ListJournalSegmentsSince(store_, options_, state.checkpoint_seq + 1));
-
-  std::vector<SegmentScan> scans(replay.size());
-  size_t workers = std::min(parallelism, replay.size());
-  if (workers <= 1) {
-    for (size_t i = 0; i < replay.size(); ++i) {
-      ScanSegment(store_, replay[i], &scans[i]);
-    }
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(workers);
-    for (size_t w = 0; w < workers; ++w) {
-      threads.emplace_back([&, w] {
-        for (size_t i = w; i < replay.size(); i += workers) {
-          ScanSegment(store_, replay[i], &scans[i]);
-        }
-      });
-    }
-    for (auto& t : threads) t.join();
-  }
-
-  // Serial merge in first_seq order restores the total commit order the
-  // per-segment scans relaxed.
-  for (size_t i = 0; i < replay.size(); ++i) {
-    POLARIS_RETURN_IF_ERROR(scans[i].status);
+  for (const auto& seg : replay) {
+    POLARIS_ASSIGN_OR_RETURN(std::string data, store_->Get(seg.path));
     state.segments_scanned++;
-    for (auto& record : scans[i].records) {
-      if (record.commit_seq <= last_seq) continue;  // covered already
-      for (auto& [key, value] : record.writes) {
-        if (value.has_value()) {
-          live[key] = std::move(*value);
-        } else {
-          live.erase(key);
-        }
-      }
-      last_seq = record.commit_seq;
-      state.records_replayed++;
-    }
-    if (!scans[i].clean) {
+    cursor.segment_first_seq = seg.first_seq;
+    cursor.byte_offset = 0;
+    POLARIS_ASSIGN_OR_RETURN(
+        bool torn, ReplaySegment(data, &cursor, [&](jf::ParsedRecord* record) {
+          for (auto& [key, value] : record->writes) {
+            if (value.has_value()) {
+              live[key] = std::move(*value);
+            } else {
+              live.erase(key);
+            }
+          }
+          state.records_replayed++;
+          return Status::OK();
+        }));
+    if (torn) {
       // Torn or corrupt record: a crash mid-append. Everything before it
       // is intact; the record itself never reached its durability point,
       // so dropping it *is* the correct recovery outcome.
       state.torn_tail = true;
       POLARIS_LOG(kWarn, "journal")
-          << "dropping torn/corrupt record tail in " << replay[i].path
-          << " after seq " << last_seq;
+          << "dropping torn/corrupt record tail in " << seg.path
+          << " after seq " << cursor.applied_seq;
     }
   }
-  state.commit_seq = last_seq;
+  state.commit_seq = cursor.applied_seq;
 
   state.rows.reserve(live.size());
   for (auto& [key, value] : live) state.rows.emplace_back(key, value);
-
-  result.cursor.applied_seq = last_seq;
-  if (!replay.empty()) {
-    result.cursor.segment_first_seq = replay.back().first_seq;
-    result.cursor.byte_offset = scans.back().end_offset;
-  }
   return result;
 }
 
@@ -199,40 +168,19 @@ Result<JournalReplayer::TailResult> JournalReplayer::TailOnce(
     cursor->segment_first_seq = seg.first_seq;
     cursor->byte_offset = offset;
     result.segments_visited++;
-    common::ByteReader in(std::string_view(data).substr(offset));
-    bool segment_done = false;
-    while (!in.AtEnd() && !segment_done) {
-      jf::ParsedRecord record;
-      jf::EpochMarker marker;
-      switch (jf::ParseFrame(&in, &record, &marker)) {
-        case jf::FrameKind::kTorn:
-          if (i + 1 < segments.size()) {
-            // A later segment exists, so the primary gave up on this one
-            // (torn append -> poison -> fresh segment on reopen, or a
-            // sealed-over torn tail). The unparsable remainder is dead
-            // garbage; move past it.
-            segment_done = true;
-            break;
-          }
-          // Newest segment: this is (or may be) a mid-append torn tail.
-          // Hold the cursor before the bad frame; once the primary's next
-          // commit lands the re-read from here parses cleanly.
-          result.torn_tail = true;
-          return result;
-        case jf::FrameKind::kEpoch:
-          // Epoch stamps/seals carry no catalog state; skip past them.
-          cursor->byte_offset = offset + in.position();
-          break;
-        case jf::FrameKind::kRecord:
-          if (record.commit_seq > cursor->applied_seq) {
-            POLARIS_RETURN_IF_ERROR(apply(record.commit_seq, record.writes));
-            cursor->applied_seq = record.commit_seq;
-            result.records_applied++;
-          }
-          cursor->byte_offset = offset + in.position();
-          break;
-      }
-    }
+    POLARIS_ASSIGN_OR_RETURN(
+        bool torn, ReplaySegment(data, cursor, [&](jf::ParsedRecord* record) {
+          POLARIS_RETURN_IF_ERROR(apply(record->commit_seq, record->writes));
+          result.records_applied++;
+          return Status::OK();
+        }));
+    // A torn frame with a later segment after it means the primary gave
+    // up on this one (torn append -> poison -> fresh segment on reopen,
+    // or a sealed-over torn tail): the unparsable remainder is dead
+    // garbage, so move on. In the newest segment it is (or may be) a
+    // mid-append torn tail: the cursor holds before the bad frame, and
+    // once the primary's next commit lands the re-read parses cleanly.
+    if (torn && i + 1 == segments.size()) result.torn_tail = true;
   }
   return result;
 }

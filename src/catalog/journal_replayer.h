@@ -38,9 +38,11 @@ struct ReplayCursor {
 /// Shared checkpoint+journal replay engine. CatalogJournal::Recover uses
 /// it for the one-shot crash-recovery scan; the replica tailer uses
 /// Bootstrap for its initial snapshot and then TailOnce for incremental
-/// catch-up from the cursor Bootstrap returned. Purely a reader: never
-/// writes, never deletes, safe to run against a store another process is
-/// actively appending to.
+/// catch-up from the cursor Bootstrap returned. Both parse frames through
+/// one serial per-segment loop that applies records above the cursor's
+/// applied_seq and advances the cursor; they differ only in what they
+/// make of a torn frame. Purely a reader: never writes, never deletes,
+/// safe to run against a store another process is actively appending to.
 class JournalReplayer {
  public:
   /// `store` must outlive the replayer. `options` supplies the blob
@@ -57,12 +59,10 @@ class JournalReplayer {
   };
 
   /// Loads the latest readable checkpoint and replays the journal tail
-  /// on top of it. With parallelism > 1, closed segments are parsed
-  /// concurrently (PCTL-style: intra-segment order is preserved by the
-  /// per-segment scan, total order is restored by the serial merge that
-  /// applies segments in first_seq order), which makes cold catch-up
-  /// near-linear in cores; the result is bit-identical to a serial scan.
-  common::Result<BootstrapResult> Bootstrap(size_t parallelism = 1) const;
+  /// on top of it, one segment after another in first_seq order. A torn
+  /// frame drops the rest of its segment, sets torn_tail and replay goes
+  /// on with the next segment.
+  common::Result<BootstrapResult> Bootstrap() const;
 
   /// Callback applying one replayed record. A non-OK status aborts the
   /// tail pass without advancing the cursor past that record.

@@ -171,6 +171,13 @@ std::vector<std::pair<std::string, std::string>>
 MvccStore::CommitContext::ScanLatest(const std::string& prefix) const {
   std::vector<std::pair<std::string, std::string>> out;
   {
+    // Installed rows and the pending queue are read in one critical
+    // section: a batch installed and dequeued between two separate reads
+    // would be in neither, and a hook assigning manifest sequence ids
+    // would hand out an id a commit ahead of it already claimed. The
+    // hook runs with commit_mu_ released, so taking it here (in the
+    // commit_mu_ -> mu_ order) cannot self-deadlock.
+    std::lock_guard<std::mutex> commit_lock(store_->commit_mu_);
     std::lock_guard<std::mutex> lock(store_->mu_);
     for (auto it = store_->rows_.lower_bound(prefix);
          it != store_->rows_.end(); ++it) {
@@ -178,12 +185,7 @@ MvccStore::CommitContext::ScanLatest(const std::string& prefix) const {
       auto value = store_->GetAtLocked(it->first, store_->commit_seq_);
       if (value) out.emplace_back(it->first, std::move(*value));
     }
-  }
-  {
-    // Overlay sequenced-but-uninstalled commits in sequence order, so a
-    // hook assigning manifest sequence ids sees the ids already claimed
-    // by commits queued ahead of it.
-    std::lock_guard<std::mutex> lock(store_->commit_mu_);
+    // Overlay sequenced-but-uninstalled commits in sequence order.
     for (const auto& entry : store_->pending_) {
       OverlayPrefix(&out, entry->writes, prefix);
     }

@@ -90,10 +90,10 @@ inline constexpr char kPromoteClaimed[] = "promote.claimed";
 /// old primary's next append must lose its CAS and self-fence.
 inline constexpr char kPromoteSealed[] = "promote.sealed";
 /// promotion: remaining journal tail replayed into the local catalog,
-/// stores still read-only — dying here loses no acked commit.
+/// catalog still read-only — dying here loses no acked commit.
 inline constexpr char kPromoteReplayed[] = "promote.replayed";
-/// promotion: appender primed and stores writable, but the role flip and
-/// the operator acknowledgement are lost.
+/// promotion: appender primed and catalog writable, but the role flip
+/// and the operator acknowledgement are lost.
 inline constexpr char kPromoteWritable[] = "promote.writable";
 /// local store: Put wrote + fsynced the temp file, rename not done.
 inline constexpr char kStorePutBeforeRename[] = "store.put.before_rename";

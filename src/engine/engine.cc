@@ -500,21 +500,10 @@ Status PolarisEngine::AttachReplica() {
   // The replica watches (but does not claim) the primary's epoch lease:
   // the heartbeat observes expiry for supervised auto-promotion, and
   // Promote() claims the next epoch through this same object. A durable
-  // replica's own store is read-only, so lease and seal writes go through
-  // a writable side channel on the same directory (opened read-only to
-  // skip the staged-block sweep, then flipped — ExitReadOnly never
-  // sweeps, so the primary's in-flight staged blocks survive).
-  if (owned_local_store_ != nullptr) {
-    failover_store_ = std::make_unique<storage::LocalFileObjectStore>(
-        options_.data_dir, clock_, /*read_only=*/true);
-    POLARIS_RETURN_IF_ERROR(failover_store_->init_status());
-    POLARIS_RETURN_IF_ERROR(failover_store_->ExitReadOnly());
-  }
+  // replica's store stays read-only until Promote() flips it writable.
   lease_ = std::make_unique<replica::EpochLease>(
-      failover_store_ != nullptr
-          ? static_cast<storage::ObjectStore*>(failover_store_.get())
-          : store_,
-      options_.journal_options.prefix + "lease", clock_, options_.failover);
+      store_, options_.journal_options.prefix + "lease", clock_,
+      options_.failover);
   StartFailoverThread();
   replica::ReplicaStatus rs = replica_tailer_->GetStatus();
   events_.Emit(obs::EventLevel::kInfo, "engine", "engine.replica_attached",
@@ -731,6 +720,23 @@ common::Result<PromoteResult> PolarisEngine::Promote() {
   const auto t0 = std::chrono::steady_clock::now();
   const uint64_t before_applied = replica_tailer_->GetStatus().records_applied;
 
+  // 0. The lease claim and the seal are writes a durable replica's store
+  //    must take while the engine is still a replica, so the store turns
+  //    writable here. ExitReadOnly never sweeps, so the live primary's
+  //    staged blocks survive. Any return short of a completed promotion
+  //    puts the store back to read-only.
+  struct ReadOnlyUnlessPromoted {
+    storage::LocalFileObjectStore* store;
+    bool promoted = false;
+    ~ReadOnlyUnlessPromoted() {
+      if (store != nullptr && !promoted) store->EnterReadOnly();
+    }
+  };
+  if (owned_local_store_ != nullptr) {
+    POLARIS_RETURN_IF_ERROR(owned_local_store_->ExitReadOnly());
+  }
+  ReadOnlyUnlessPromoted store_guard{owned_local_store_.get()};
+
   // 1. Claim epoch+1. From here on the old primary's heartbeat renewals
   //    lose their CAS and it self-fences on the next beat.
   POLARIS_RETURN_IF_ERROR(lease_->Claim());
@@ -744,11 +750,7 @@ common::Result<PromoteResult> PolarisEngine::Promote() {
   replica_tailer_->Stop();
   POLARIS_ASSIGN_OR_RETURN(
       std::string sealed,
-      replica::SealNewestSegment(
-          failover_store_ != nullptr
-              ? static_cast<storage::ObjectStore*>(failover_store_.get())
-              : store_,
-          options_.journal_options, epoch));
+      replica::SealNewestSegment(store_, options_.journal_options, epoch));
   POLARIS_CRASH_POINT(common::crash::kPromoteSealed);
 
   // 3. Drain the remaining journal tail. PollOnce still works after
@@ -773,11 +775,9 @@ common::Result<PromoteResult> PolarisEngine::Promote() {
         return journal_->AppendBatch(records);
       });
   sto_.set_catalog_journal(journal_.get());
-  if (owned_local_store_ != nullptr) {
-    POLARIS_RETURN_IF_ERROR(owned_local_store_->ExitReadOnly());
-  }
   catalog_.store()->set_read_only(false);
   POLARIS_CRASH_POINT(common::crash::kPromoteWritable);
+  store_guard.promoted = true;
   role_.store(EngineRole::kPrimary, std::memory_order_release);
   StartFailoverThread();
 

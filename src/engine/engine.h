@@ -111,7 +111,7 @@ struct EngineOptions {
   /// journal records. All DML/DDL returns FailedPrecondition; reads are
   /// snapshot-isolated at the replica's apply watermark.
   bool replica = false;
-  /// Tailer knobs (poll cadence, catch-up parallelism); replica mode only.
+  /// Tailer knobs (poll cadence); replica mode only.
   replica::ReplicaOptions replica_options;
   /// Epoch-lease fencing and promotion knobs (DESIGN.md §12). A durable
   /// primary always claims the lease at open; the background heartbeat
@@ -512,15 +512,6 @@ class PolarisEngine {
   /// Replica mode only; declared after catalog_/store decorators (it
   /// reads through both) and stopped first in the destructor.
   std::unique_ptr<replica::ReplicaTailer> replica_tailer_;
-  /// Durable-replica side channel for failover writes: the replica's main
-  /// store is read-only (so no code path can mutate shared state), but a
-  /// lease claim and a segment seal are exactly the two writes promotion
-  /// must land *while still a replica*. This second handle on the same
-  /// data_dir is made writable without the crash-recovery sweep, so the
-  /// live primary's in-flight staged blocks are untouched; generations
-  /// live in the blob headers on disk, so its CAS sees — and is seen by —
-  /// every other process on the directory.
-  std::unique_ptr<storage::LocalFileObjectStore> failover_store_;
   obs::TimeSeriesRecorder recorder_;
   obs::HealthWatchdog watchdog_;
   std::unique_ptr<SystemViews> views_;

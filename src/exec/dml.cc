@@ -262,7 +262,8 @@ std::vector<CellGroup> GroupByCell(const lst::TableSnapshot& snapshot) {
 }
 
 /// Shared body of DELETE and UPDATE: scan matching rows per file, write
-/// merged DVs, and (for UPDATE) collect rewritten rows per cell.
+/// one merged DV per touched file, and (for UPDATE) collect rewritten rows
+/// per cell.
 Status MutateCellGroup(const DmlContext& ctx, const CellGroup& group,
                        const Conjunction& filter,
                        const std::vector<Assignment>* assignments,
@@ -272,6 +273,10 @@ Status MutateCellGroup(const DmlContext& ctx, const CellGroup& group,
   uint64_t affected = 0;
   RecordBatch rewritten(ctx.schema);
 
+  // The scan calls back once per row group, so a file's matches arrive in
+  // several callbacks; they are gathered first and written as one DV.
+  std::map<std::string, std::pair<const lst::FileState*, std::vector<uint64_t>>>
+      deletions;
   TableScanner scanner(ctx.cache, &group.snapshot);
   ScanOptions options;
   options.filter = filter;
@@ -279,28 +284,10 @@ Status MutateCellGroup(const DmlContext& ctx, const CellGroup& group,
       options,
       [&](const lst::FileState& file, const RecordBatch& batch,
           const std::vector<uint64_t>& ordinals) -> Status {
-        // Merge the new deletions with the file's existing DV.
-        lst::DeletionVector merged;
-        if (!file.dv_path.empty()) {
-          POLARIS_ASSIGN_OR_RETURN(auto existing,
-                                   ctx.cache->GetDeleteVector(file.dv_path));
-          merged = *existing;
-        }
-        for (uint64_t ordinal : ordinals) merged.MarkDeleted(ordinal);
-        std::string guid = common::Guid::Generate().ToString();
-        std::string dv_path =
-            storage::PathUtil::DeleteVectorPath(ctx.table_id, guid);
-        POLARIS_RETURN_IF_ERROR(ctx.store->Put(dv_path, merged.ToBlob()));
-        if (!file.dv_path.empty()) {
-          entries.push_back(
-              ManifestEntry::RemoveDv(file.dv_path, file.info.path));
-        }
-        lst::DeleteVectorInfo info;
-        info.path = dv_path;
-        info.target_data_file = file.info.path;
-        info.deleted_count = merged.cardinality();
-        entries.push_back(ManifestEntry::AddDv(std::move(info)));
-        touched.insert(file.info.path);
+        auto& [state, file_ordinals] = deletions[file.info.path];
+        state = &file;
+        file_ordinals.insert(file_ordinals.end(), ordinals.begin(),
+                             ordinals.end());
         affected += ordinals.size();
 
         if (assignments != nullptr) {
@@ -331,6 +318,31 @@ Status MutateCellGroup(const DmlContext& ctx, const CellGroup& group,
         return Status::OK();
       });
   POLARIS_RETURN_IF_ERROR(scan_status);
+
+  for (const auto& [path, found] : deletions) {
+    const auto& [file, ordinals] = found;
+    // Merge the new deletions with the file's existing DV.
+    lst::DeletionVector merged;
+    if (!file->dv_path.empty()) {
+      POLARIS_ASSIGN_OR_RETURN(auto existing,
+                               ctx.cache->GetDeleteVector(file->dv_path));
+      merged = *existing;
+    }
+    for (uint64_t ordinal : ordinals) merged.MarkDeleted(ordinal);
+    std::string guid = common::Guid::Generate().ToString();
+    std::string dv_path =
+        storage::PathUtil::DeleteVectorPath(ctx.table_id, guid);
+    POLARIS_RETURN_IF_ERROR(ctx.store->Put(dv_path, merged.ToBlob()));
+    if (!file->dv_path.empty()) {
+      entries.push_back(ManifestEntry::RemoveDv(file->dv_path, path));
+    }
+    lst::DeleteVectorInfo info;
+    info.path = dv_path;
+    info.target_data_file = path;
+    info.deleted_count = merged.cardinality();
+    entries.push_back(ManifestEntry::AddDv(std::move(info)));
+    touched.insert(path);
+  }
 
   if (assignments != nullptr && rewritten.num_rows() > 0) {
     POLARIS_ASSIGN_OR_RETURN(ManifestEntry entry,

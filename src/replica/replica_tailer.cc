@@ -64,17 +64,14 @@ ReplicaTailer::ReplicaTailer(storage::ObjectStore* store,
       tracer_(tracer),
       events_(events),
       options_(options),
-      replayer_(store, std::move(journal_options)) {
-  if (options_.catchup_parallelism == 0) options_.catchup_parallelism = 1;
-}
+      replayer_(store, std::move(journal_options)) {}
 
 ReplicaTailer::~ReplicaTailer() { Stop(); }
 
 Status ReplicaTailer::BootstrapInitial() {
   std::lock_guard<std::mutex> poll_lock(poll_mu_);
   const auto wall_start = std::chrono::steady_clock::now();
-  POLARIS_ASSIGN_OR_RETURN(auto boot,
-                           replayer_.Bootstrap(options_.catchup_parallelism));
+  POLARIS_ASSIGN_OR_RETURN(auto boot, replayer_.Bootstrap());
   // ImportSnapshot requires quiescence, which holds only here: Open has
   // not returned yet, so no reader can hold a snapshot. Later catch-ups
   // (RebootstrapLocked) must go through ApplyReplicated instead.
@@ -218,7 +215,7 @@ Status ReplicaTailer::PollOnce() {
 
 Status ReplicaTailer::RebootstrapLocked() {
   const auto wall_start = std::chrono::steady_clock::now();
-  auto boot_or = replayer_.Bootstrap(options_.catchup_parallelism);
+  auto boot_or = replayer_.Bootstrap();
   if (!boot_or.ok()) {
     std::lock_guard<std::mutex> lock(stats_mu_);
     tail_errors_++;

@@ -28,9 +28,6 @@ struct ReplicaOptions {
   /// background thread entirely — tests and benches then drive the loop
   /// with explicit PollOnce calls for determinism.
   int64_t poll_interval_micros = 20'000;
-  /// Threads parsing closed segments concurrently during catch-up
-  /// (initial bootstrap and 404 re-bootstrap). 1 = serial.
-  size_t catchup_parallelism = 4;
 };
 
 /// Point-in-time view of the tailer, surfaced by sys.dm_replica.
@@ -90,8 +87,8 @@ class ReplicaTailer {
   ReplicaTailer(const ReplicaTailer&) = delete;
   ReplicaTailer& operator=(const ReplicaTailer&) = delete;
 
-  /// Initial catch-up: parallel checkpoint+journal replay imported into
-  /// the catalog as one snapshot. Must run before the catalog serves any
+  /// Initial catch-up: checkpoint+journal replay imported into the
+  /// catalog as one snapshot. Must run before the catalog serves any
   /// transaction (PolarisEngine::Open calls it before returning).
   common::Status BootstrapInitial();
 

@@ -67,6 +67,10 @@ class LocalFileObjectStore : public ObjectStore {
   /// next full reopen. Idempotent; no-op when already writable.
   common::Status ExitReadOnly();
 
+  /// Makes the store reject every mutating operation again — a failed
+  /// promotion's way back to replica mode.
+  void EnterReadOnly() { read_only_.store(true, std::memory_order_release); }
+
   /// Largest created_at stamp across blobs found at open time (0 when
   /// empty). A reopening engine advances its virtual clock past this so
   /// GC's created_at comparisons stay monotone across restarts.

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "engine/engine.h"
 
 namespace polaris::engine {
@@ -154,6 +156,85 @@ TEST_F(EngineTest, DeleteAndUpdate) {
                   })
                   .ok());
   EXPECT_DOUBLE_EQ(SumAmount("orders"), 40.0);
+}
+
+TEST_F(EngineTest, DeleteAndUpdateSpanningRowGroupsOfOneFile) {
+  // One cell and four-row row groups: the 24 rows land in one data file
+  // of six row groups, so every statement below matches rows in several
+  // row groups of the same file and must write one DV for it.
+  EngineOptions options = MakeOptions();
+  options.num_cells = 1;
+  options.file_options.rows_per_row_group = 4;
+  PolarisEngine engine(options);
+  ASSERT_TRUE(engine.CreateTable("orders", OrdersSchema()).ok());
+  std::vector<std::tuple<int64_t, double, std::string>> rows;
+  for (int64_t id = 0; id < 24; ++id) {
+    rows.emplace_back(id, static_cast<double>(id),
+                      id % 3 == 0 ? "shipped" : "open");
+  }
+  ASSERT_TRUE(engine
+                  .RunInTransaction([&](txn::Transaction* txn) {
+                    return engine.Insert(txn, "orders", Orders(rows)).status();
+                  })
+                  .ok());
+  auto count_and_sum = [&](int64_t* count, double* sum) {
+    auto txn = engine.Begin();
+    ASSERT_TRUE(txn.ok());
+    QuerySpec spec;
+    spec.aggregates = {{AggFunc::kCount, "", "cnt"},
+                       {AggFunc::kSum, "amount", "total"}};
+    auto result = engine.Query(txn->get(), "orders", spec);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    *count = result->column(0).Int64At(0);
+    *sum = result->column(1).DoubleAt(0);
+    (void)engine.Abort(txn->get());
+  };
+  auto run = [&](const std::function<common::Result<uint64_t>(
+                     txn::Transaction*)>& statement,
+                 uint64_t expected_affected) {
+    Status st = engine.RunInTransaction([&](txn::Transaction* txn) {
+      auto n = statement(txn);
+      POLARIS_RETURN_IF_ERROR(n.status());
+      EXPECT_EQ(*n, expected_affected);
+      return Status::OK();
+    });
+    ASSERT_TRUE(st.ok()) << st.ToString();
+  };
+  int64_t count = 0;
+  double sum = 0;
+
+  // Every third row, in all six row groups; the file has no DV yet.
+  run([&](txn::Transaction* txn) {
+        return engine.Delete(txn, "orders", WhereStatus("shipped"));
+      },
+      8);
+  count_and_sum(&count, &sum);
+  EXPECT_EQ(count, 16);
+  EXPECT_DOUBLE_EQ(sum, 276.0 - 84.0);
+
+  // The open rows of the last three row groups, merged into the DV the
+  // first delete wrote.
+  Conjunction upper;
+  upper.predicates.push_back(
+      Predicate::Make("order_id", CompareOp::kGe, Value::Int64(12)));
+  run([&](txn::Transaction* txn) {
+        return engine.Delete(txn, "orders", upper);
+      },
+      8);
+  count_and_sum(&count, &sum);
+  EXPECT_EQ(count, 8);
+  EXPECT_DOUBLE_EQ(sum, 48.0);
+
+  // The eight survivors span the first three row groups.
+  run([&](txn::Transaction* txn) {
+        return engine.Update(txn, "orders", WhereStatus("open"),
+                             {{"amount", exec::Assignment::Kind::kAddDouble,
+                               Value::Double(100.0)}});
+      },
+      8);
+  count_and_sum(&count, &sum);
+  EXPECT_EQ(count, 8);
+  EXPECT_DOUBLE_EQ(sum, 848.0);
 }
 
 TEST_F(EngineTest, GroupByQuery) {

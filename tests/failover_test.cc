@@ -638,11 +638,11 @@ TEST_F(FailoverTest, PromoteStatementAndDmFailoverView) {
 
 /// The on-disk twin of PromoteTakesOverAndFencesOldPrimary: two engines
 /// share one data_dir (the sql_shell HA quickstart shape). A durable
-/// replica's own store handle is read-only, so the lease claim and the
-/// segment seal must land through the writable failover side channel —
-/// this is the regression test for promotion failing with "read-only
-/// object store: StageBlock rejected for catalog/lease".
-TEST_F(FailoverTest, DurablePromoteWritesThroughSideChannel) {
+/// replica's one store handle is read-only until Promote() flips it
+/// writable ahead of the lease claim and the segment seal — this is the
+/// regression test for promotion failing with "read-only object store:
+/// StageBlock rejected for catalog/lease".
+TEST_F(FailoverTest, DurablePromoteFlipsItsStoreWritable) {
   const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
   const std::filesystem::path data_dir =
       std::filesystem::path(::testing::TempDir()) /
@@ -685,6 +685,59 @@ TEST_F(FailoverTest, DurablePromoteWritesThroughSideChannel) {
 
   primary.reset();
   replica.reset();
+  std::filesystem::remove_all(data_dir);
+}
+
+/// A durable replica whose promotion fails at the lease claim stays a
+/// replica in full: its one store handle still rejects writes, its role
+/// is unchanged, and it keeps serving reads. The claim's writes fail by
+/// injection here, which Claim reports as final like a lost CAS race.
+TEST_F(FailoverTest, FailedDurablePromotionLeavesStoreReadOnly) {
+  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+  const std::filesystem::path data_dir =
+      std::filesystem::path(::testing::TempDir()) /
+      (std::string("polaris_failover_") + info->name());
+  std::filesystem::remove_all(data_dir);
+
+  EngineOptions options = BaseOptions();
+  options.data_dir = data_dir.string();
+  auto primary_opened = PolarisEngine::Open(options);
+  ASSERT_TRUE(primary_opened.ok()) << primary_opened.status().ToString();
+  auto primary = std::move(*primary_opened);
+  ASSERT_TRUE(primary->CreateTable("events", EventsSchema()).ok());
+  ASSERT_TRUE(InsertOne(primary.get(), 1).ok());
+
+  auto winner_opened = PolarisEngine::Open(ReplicaOptionsOf(options));
+  ASSERT_TRUE(winner_opened.ok()) << winner_opened.status().ToString();
+  auto winner = std::move(*winner_opened);
+  auto loser_opened = PolarisEngine::Open(ReplicaOptionsOf(options));
+  ASSERT_TRUE(loser_opened.ok()) << loser_opened.status().ToString();
+  auto loser = std::move(*loser_opened);
+
+  auto won = winner->Promote();
+  ASSERT_TRUE(won.ok()) << won.status().ToString();
+  ASSERT_TRUE(InsertOne(winner.get(), 2).ok());
+
+  storage::FaultPolicy refuse_writes;
+  refuse_writes.write_failure_probability = 1.0;
+  loser->fault_store()->set_policy(refuse_writes);
+  auto lost = loser->Promote();
+  ASSERT_FALSE(lost.ok());
+  loser->fault_store()->set_policy(storage::FaultPolicy{});
+
+  EXPECT_EQ(loser->role(), EngineRole::kReplica);
+  Status write = loser->base_store()->Put("probe/after_failed_promote", "x");
+  EXPECT_TRUE(write.IsFailedPrecondition()) << write.ToString();
+  // Still a working replica: it tails the winner's commit and reads it.
+  ASSERT_TRUE(loser->replica()->PollOnce().ok());
+  EXPECT_EQ(CountId(loser.get(), 1), 1);
+  EXPECT_EQ(CountId(loser.get(), 2), 1);
+  Status dml = InsertOne(loser.get(), 3);
+  EXPECT_TRUE(dml.IsFailedPrecondition()) << dml.ToString();
+
+  loser.reset();
+  winner.reset();
+  primary.reset();
   std::filesystem::remove_all(data_dir);
 }
 

@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <future>
 #include <thread>
 
@@ -545,6 +546,47 @@ TEST(MvccTest, SerializablePrefixValidationHappensOutsideTheGate) {
   auto stats = store.PipelineStats();
   EXPECT_GE(stats.prevalidated, 1u);
   EXPECT_EQ(stats.revalidation_fallbacks, 0u);
+}
+
+/// A commit hook that assigns ids from ScanLatest (the manifest
+/// next-id pattern) must see every commit sequenced ahead of it. A batch
+/// installed and dequeued between a scan of the installed rows and a scan
+/// of the pending queue used to be invisible to both, so two commits took
+/// the same id and one acknowledged commit overwrote the other.
+TEST(MvccTest, ScanLatestSeesBatchesInstalledMidScan) {
+  MvccStore store;
+  // A short durability point keeps batches pending while later commits
+  // run their hooks, so installs race those hooks' scans.
+  store.SetCommitListener([](const std::vector<CommitRecord>&) {
+    std::this_thread::yield();
+    return Status::OK();
+  });
+  constexpr int kThreads = 16;
+  constexpr int kPerThread = 200;
+  std::atomic<int> committed{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&store, &committed] {
+      for (int i = 0; i < kPerThread; ++i) {
+        auto txn = store.Begin();
+        Status st = store.Commit(txn.get(), [](MvccStore::CommitContext* ctx) {
+          char key[32];
+          std::snprintf(key, sizeof(key), "id/%08zu",
+                        ctx->ScanLatest("id/").size());
+          ctx->Write(key, "x");
+          return Status::OK();
+        });
+        if (st.ok()) committed.fetch_add(1);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  auto reader = store.Begin();
+  auto ids = store.Scan(reader.get(), "id/");
+  ASSERT_TRUE(ids.ok()) << ids.status().ToString();
+  EXPECT_EQ(committed.load(), kThreads * kPerThread);
+  EXPECT_EQ(static_cast<int>(ids->size()), committed.load())
+      << "an acknowledged commit's id was taken again by a later commit";
 }
 
 TEST(MvccTest, GateRevalidationCatchesSequencedButUninstalledConflicts) {

@@ -15,6 +15,7 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <map>
 #include <optional>
 #include <set>
 #include <string>
@@ -23,6 +24,7 @@
 #include <vector>
 
 #include "catalog/catalog_journal.h"
+#include "catalog/journal_replayer.h"
 #include "common/clock.h"
 #include "common/crashpoint.h"
 #include "common/deadline.h"
@@ -242,6 +244,82 @@ TEST_F(ReplicaTest, BootstrapFromCheckpointAndJournalTail) {
   EXPECT_GT(rs.bootstrap_records, 0u);
   EXPECT_LT(rs.bootstrap_records, primary->Stats().journal_records);
   EXPECT_EQ(replica->replica()->LagLowerBound(), 0u);
+}
+
+/// Bootstrap and TailOnce share one frame loop but treat a torn frame
+/// differently. With the torn frame in an older segment both must step
+/// over it into the next segment: Bootstrap reports torn_tail, TailOnce
+/// (a later segment exists, so the torn remainder is dead) does not hold
+/// there, and the two end with identical rows and cursors.
+TEST_F(ReplicaTest, TornFrameInOlderSegmentBootstrapMatchesTail) {
+  common::SimClock clock(1'000'000);
+  storage::MemoryObjectStore store(&clock);
+  catalog::CatalogJournalOptions options;
+  {
+    catalog::CatalogJournal journal(&store, options);
+    ASSERT_TRUE(journal.Recover().ok());
+    journal.set_epoch(1);  // stamp frames ride along with the records
+    for (uint64_t seq = 1; seq <= 3; ++seq) {
+      ASSERT_TRUE(
+          journal.Append(seq, {{"k" + std::to_string(seq), "v"}}).ok());
+    }
+    common::CrashPoints::Arm(common::crash::kJournalAppendTorn);
+    ASSERT_FALSE(journal.Append(4, {{"k4", "torn"}}).ok());
+  }
+  {
+    // The reopened writer keeps the torn segment (it holds records) and
+    // rolls a fresh one for sequence 4 on.
+    catalog::CatalogJournal journal(&store, options);
+    auto recovered = journal.Recover();
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    ASSERT_TRUE(recovered->torn_tail);
+    ASSERT_EQ(recovered->commit_seq, 3u);
+    journal.set_epoch(2);
+    ASSERT_TRUE(journal.Append(4, {{"k4", "v"}, {"k1", std::nullopt}}).ok());
+    ASSERT_TRUE(journal.Append(5, {{"k5", "v"}}).ok());
+  }
+  auto segments = catalog::ListJournalSegmentsSince(&store, options, 1);
+  ASSERT_TRUE(segments.ok());
+  ASSERT_EQ(segments->size(), 2u);
+
+  catalog::JournalReplayer replayer(&store, options);
+  auto boot = replayer.Bootstrap();
+  ASSERT_TRUE(boot.ok()) << boot.status().ToString();
+  EXPECT_TRUE(boot->state.torn_tail);
+  EXPECT_EQ(boot->state.commit_seq, 5u);
+  EXPECT_EQ(boot->state.records_replayed, 5u);
+  EXPECT_EQ(boot->state.segments_scanned, 2u);
+
+  std::map<std::string, std::string> live;
+  catalog::ReplayCursor cursor;
+  auto tail = replayer.TailOnce(
+      &cursor,
+      [&](uint64_t, const std::vector<std::pair<
+                        std::string, std::optional<std::string>>>& writes) {
+        for (const auto& [key, value] : writes) {
+          if (value.has_value()) {
+            live[key] = *value;
+          } else {
+            live.erase(key);
+          }
+        }
+        return Status::OK();
+      });
+  ASSERT_TRUE(tail.ok()) << tail.status().ToString();
+  EXPECT_FALSE(tail->torn_tail);
+  EXPECT_EQ(tail->records_applied, 5u);
+  EXPECT_EQ(tail->segments_visited, 2u);
+
+  const std::vector<std::pair<std::string, std::string>> tailed(live.begin(),
+                                                                live.end());
+  EXPECT_EQ(tailed, boot->state.rows);
+  EXPECT_EQ(cursor.segment_first_seq, boot->cursor.segment_first_seq);
+  EXPECT_EQ(cursor.byte_offset, boot->cursor.byte_offset);
+  EXPECT_EQ(cursor.applied_seq, boot->cursor.applied_seq);
+  EXPECT_EQ(cursor.segment_first_seq, segments->back().first_seq);
+  auto newest = store.Get(segments->back().path);
+  ASSERT_TRUE(newest.ok());
+  EXPECT_EQ(cursor.byte_offset, newest->size());
 }
 
 TEST_F(ReplicaTest, ContinuousApplyPreservesSnapshotIsolation) {
