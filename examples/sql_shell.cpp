@@ -1,7 +1,7 @@
 // Interactive SQL shell over a PolarisEngine: type statements terminated
 // by ';'. Also usable non-interactively:
 //
-//   $ echo "CREATE TABLE t (x BIGINT); INSERT INTO t VALUES (1); \
+//   $ echo "CREATE TABLE t (x BIGINT); INSERT INTO t VALUES (1);
 //           SELECT * FROM t;" | ./build/examples/sql_shell
 //
 // Set POLARIS_FAULT_P=<probability> to inject transient storage faults on

@@ -160,7 +160,7 @@ Result<JobMetrics> Scheduler::Run(const TaskDag& dag,
           }
         }
       }
-      for (uint64_t r : ready) ++state->outstanding;
+      state->outstanding += ready.size();
     }
     for (uint64_t r : ready) submit_task(r);
     state->cv.notify_all();

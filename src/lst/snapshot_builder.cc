@@ -7,6 +7,16 @@ namespace polaris::lst {
 using common::Result;
 using common::Status;
 
+namespace {
+
+/// `tables/<id>/manifests/<name>` -> `tables/<id>/manifests/`: one
+/// snapshot-cache slot per table.
+std::string ManifestDir(const std::string& path) {
+  return path.substr(0, path.rfind('/') + 1);
+}
+
+}  // namespace
+
 Result<std::shared_ptr<const SnapshotBuilder::ParsedManifest>>
 SnapshotBuilder::LoadManifest(const std::string& path) {
   {
@@ -33,28 +43,38 @@ Result<TableSnapshot> SnapshotBuilder::Build(
     const std::optional<CheckpointRef>& checkpoint) {
   // Determine the replay suffix after the checkpoint (if any).
   uint64_t base_seq = checkpoint ? checkpoint->sequence_id : 0;
+  const std::string table_key =
+      manifests.empty() ? std::string() : ManifestDir(manifests.back().path);
 
-  // Find the longest cached prefix: we key snapshots by the path of the
-  // last manifest applied, so scan from the end for a cache hit.
-  TableSnapshot snapshot;
+  // The table's cached snapshot serves this build if its last applied
+  // manifest lies in this chain past the checkpoint; scan from the end.
+  std::shared_ptr<const TableSnapshot> cached;
   size_t start = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    for (size_t i = manifests.size(); i > 0; --i) {
-      const ManifestRef& ref = manifests[i - 1];
-      if (ref.sequence_id <= base_seq) break;
-      auto it = snapshot_cache_.find(ref.path);
-      if (it != snapshot_cache_.end()) {
-        snapshot = *it->second;  // copy; extended below
-        start = i;
-        ++stats_.snapshot_hits;
-        break;
+    auto it = snapshot_cache_.find(table_key);
+    if (it != snapshot_cache_.end()) {
+      for (size_t i = manifests.size(); i > 0; --i) {
+        const ManifestRef& ref = manifests[i - 1];
+        if (ref.sequence_id <= base_seq) break;
+        if (ref.path == it->second.last_manifest) {
+          cached = it->second.snapshot;
+          start = i;
+          break;
+        }
       }
     }
-    if (start == 0) ++stats_.snapshot_misses;
+    if (cached) {
+      ++stats_.snapshot_hits;
+    } else {
+      ++stats_.snapshot_misses;
+    }
   }
 
-  if (start == 0 && checkpoint) {
+  TableSnapshot snapshot;
+  if (cached) {
+    snapshot = *cached;  // copy; extended below
+  } else if (checkpoint) {
     POLARIS_ASSIGN_OR_RETURN(std::string blob, store_->Get(checkpoint->path));
     POLARIS_ASSIGN_OR_RETURN(snapshot, Checkpoint::Deserialize(blob));
     if (snapshot.sequence_id() != checkpoint->sequence_id) {
@@ -77,17 +97,25 @@ Result<TableSnapshot> SnapshotBuilder::Build(
     }
   }
 
-  if (!manifests.empty()) {
+  // A full hit (nothing left to apply) leaves the cached entry as it was;
+  // any other build replaces the table's entry unless that one is newer.
+  if (start < manifests.size()) {
+    auto fresh = std::make_shared<const TableSnapshot>(snapshot);
     std::lock_guard<std::mutex> lock(mu_);
-    snapshot_cache_[manifests.back().path] =
-        std::make_shared<const TableSnapshot>(snapshot);
+    CachedSnapshot& slot = snapshot_cache_[table_key];
+    if (!slot.snapshot ||
+        fresh->sequence_id() >= slot.snapshot->sequence_id()) {
+      slot = {manifests.back().path, std::move(fresh)};
+    }
   }
   return snapshot;
 }
 
 SnapshotBuilder::CacheStats SnapshotBuilder::cache_stats() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
+  CacheStats stats = stats_;
+  stats.snapshots_cached = snapshot_cache_.size();
+  return stats;
 }
 
 void SnapshotBuilder::ClearCache() {

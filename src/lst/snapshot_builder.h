@@ -38,9 +38,12 @@ struct CheckpointRef {
 ///
 /// Two cache levels, both keyed on immutable inputs and safe to share:
 ///  * parsed-manifest cache: blob path -> parsed entries + commit time;
-///  * snapshot cache: (table identity is implicit in the manifest paths)
-///    highest-sequence snapshot per table root prefix, cloned and extended
-///    incrementally for newer reads.
+///  * snapshot cache: one snapshot per table, the newest one built, keyed
+///    by the manifest directory of its chain's last manifest
+///    (`tables/<id>/manifests/`). A newer read copies it and extends it
+///    incrementally; a read of an older version misses and replays from
+///    its checkpoint plus the parsed-manifest cache. This cache's memory is
+///    therefore bounded by tables x live files, not commits x live files.
 class SnapshotBuilder {
  public:
   explicit SnapshotBuilder(storage::ObjectStore* store) : store_(store) {}
@@ -59,6 +62,7 @@ class SnapshotBuilder {
     uint64_t snapshot_hits = 0;
     uint64_t snapshot_misses = 0;
     uint64_t manifests_replayed = 0;
+    uint64_t snapshots_cached = 0;  // entries held now: at most one per table
   };
   CacheStats cache_stats() const;
   void ClearCache();
@@ -78,10 +82,16 @@ class SnapshotBuilder {
   mutable std::mutex mu_;
   std::map<std::string, std::shared_ptr<const ParsedManifest>>
       manifest_cache_;
-  /// Snapshot cache keyed by the path of the last applied manifest — a
-  /// precise identity for "the state after replaying this chain" because
-  /// manifests are immutable and totally ordered per table.
-  std::map<std::string, std::shared_ptr<const TableSnapshot>> snapshot_cache_;
+  /// The newest snapshot built for one table. `last_manifest` is the path
+  /// of the last manifest applied to it — a precise identity for "the
+  /// state after replaying this chain" because manifests are immutable
+  /// and totally ordered per table.
+  struct CachedSnapshot {
+    std::string last_manifest;
+    std::shared_ptr<const TableSnapshot> snapshot;
+  };
+  /// Keyed by manifest directory; see the class comment.
+  std::map<std::string, CachedSnapshot> snapshot_cache_;
   CacheStats stats_;
 };
 

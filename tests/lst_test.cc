@@ -295,8 +295,10 @@ class SnapshotBuilderTest : public ::testing::Test {
 
   /// Writes a committed manifest blob and returns its ref.
   ManifestRef WriteManifest(uint64_t seq,
-                            const std::vector<ManifestEntry>& entries) {
-    std::string path = "tables/1/manifests/m" + std::to_string(seq);
+                            const std::vector<ManifestEntry>& entries,
+                            int table_id = 1) {
+    std::string path = "tables/" + std::to_string(table_id) +
+                       "/manifests/m" + std::to_string(seq);
     ManifestBlockWriter writer(&store_, path);
     auto block = writer.StageEntries(entries);
     EXPECT_TRUE(block.ok());
@@ -374,6 +376,57 @@ TEST_F(SnapshotBuilderTest, IncrementalExtensionFromCachedPrefix) {
   EXPECT_EQ(snap->num_files(), 2u);
   // Only the new manifest was replayed on top of the cached prefix.
   EXPECT_EQ(builder_.cache_stats().manifests_replayed, 2u);  // 1 + 1
+}
+
+TEST_F(SnapshotBuilderTest, SnapshotCacheHoldsOneSnapshotPerTable) {
+  // Building every successive version of two tables keeps only the newest
+  // snapshot of each, and each build still extends the cached one.
+  std::vector<ManifestRef> chains[2];
+  for (uint64_t s = 1; s <= 300; ++s) {
+    for (int t = 0; t < 2; ++t) {
+      chains[t].push_back(WriteManifest(
+          s, {AddFileEntry("t" + std::to_string(t) + "f" + std::to_string(s),
+                           s)},
+          t + 1));
+      auto snap = builder_.Build(chains[t]);
+      ASSERT_TRUE(snap.ok());
+      ASSERT_EQ(snap->num_files(), s);
+    }
+  }
+  auto stats = builder_.cache_stats();
+  EXPECT_LE(stats.snapshots_cached, 2u);
+  EXPECT_EQ(stats.manifests_replayed, 600u);
+}
+
+TEST_F(SnapshotBuilderTest, OlderVersionReplaysFromCheckpoint) {
+  // An older version misses the per-table cache, replays from its
+  // checkpoint, and leaves the newer cached snapshot in place.
+  std::vector<ManifestRef> refs;
+  for (uint64_t s = 1; s <= 6; ++s) {
+    refs.push_back(
+        WriteManifest(s, {AddFileEntry("f" + std::to_string(s), s)}));
+  }
+  auto at3 = builder_.Build({refs[0], refs[1], refs[2]});
+  ASSERT_TRUE(at3.ok());
+  std::string ckpt_path = "tables/1/checkpoints/3";
+  ASSERT_TRUE(store_.Put(ckpt_path, Checkpoint::Serialize(*at3)).ok());
+  ASSERT_TRUE(builder_.Build(refs).ok());
+
+  auto before = builder_.cache_stats();
+  auto at4 = builder_.Build({refs[0], refs[1], refs[2], refs[3]},
+                            CheckpointRef{3, ckpt_path});
+  ASSERT_TRUE(at4.ok());
+  EXPECT_EQ(at4->num_files(), 4u);
+  auto after = builder_.cache_stats();
+  EXPECT_EQ(after.snapshot_misses, before.snapshot_misses + 1);
+  EXPECT_EQ(after.manifests_replayed, before.manifests_replayed + 1);
+
+  // The newest version is still served from the cache.
+  ASSERT_TRUE(builder_.Build(refs).ok());
+  auto last = builder_.cache_stats();
+  EXPECT_EQ(last.snapshot_hits, after.snapshot_hits + 1);
+  EXPECT_EQ(last.manifests_replayed, after.manifests_replayed);
+  EXPECT_EQ(last.snapshots_cached, 1u);
 }
 
 TEST_F(SnapshotBuilderTest, CommitterAppendAndRewrite) {

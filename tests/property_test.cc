@@ -297,5 +297,121 @@ TEST_P(CheckpointEquivalenceTest, SnapshotViaCheckpointEqualsFullReplay) {
 INSTANTIATE_TEST_SUITE_P(Seeds, CheckpointEquivalenceTest,
                          ::testing::Values(101, 202, 303, 404, 505, 606));
 
+class SnapshotCacheEquivalenceTest
+    : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(SnapshotCacheEquivalenceTest, WarmBuildEqualsColdBuild) {
+  // Property: the snapshot cache keeps one snapshot per table, yet every
+  // build through a warm builder equals a cold rebuild. The interleaving
+  // spans three tables, newer and older prefixes, builds with and without
+  // a checkpoint, and a clone whose chain starts with its source's
+  // manifest paths under the same sequence ids (as CloneTable writes it).
+  Random rng(GetParam());
+  common::SimClock clock(1'000'000);
+  storage::MemoryObjectStore store(&clock);
+  lst::SnapshotBuilder warm(&store);
+  lst::SnapshotBuilder cold(&store);
+
+  struct Table {
+    std::vector<lst::ManifestRef> chain;
+    std::vector<std::string> live;
+    std::vector<lst::CheckpointRef> checkpoints;
+  };
+  std::map<int, Table> tables;  // 1 and 2; 3 is cloned from 1
+  int file_counter = 0;
+
+  auto commit = [&](int id) {
+    Table& t = tables[id];
+    std::vector<lst::ManifestEntry> entries;
+    if (t.live.empty() || rng.Bernoulli(0.6)) {
+      lst::DataFileInfo info;
+      info.path = "f" + std::to_string(file_counter++);
+      info.row_count = 10 + rng.Uniform(100);
+      info.byte_size = info.row_count * 8;
+      t.live.push_back(info.path);
+      entries.push_back(lst::ManifestEntry::AddFile(info));
+    } else {
+      size_t k = rng.Uniform(t.live.size());
+      entries.push_back(lst::ManifestEntry::RemoveFile(t.live[k]));
+      t.live.erase(t.live.begin() + k);
+    }
+    uint64_t seq = t.chain.empty() ? 1 : t.chain.back().sequence_id + 1;
+    std::string path = "tables/" + std::to_string(id) + "/manifests/m" +
+                       std::to_string(seq);
+    lst::ManifestBlockWriter writer(&store, path);
+    auto block = writer.StageEntries(entries);
+    ASSERT_TRUE(block.ok());
+    ASSERT_TRUE(store.CommitBlockList(path, {*block}).ok());
+    t.chain.push_back({seq, path});
+    clock.Advance(1000);
+  };
+
+  auto checkpoint = [&](int id) {
+    Table& t = tables[id];
+    size_t len = 1 + rng.Uniform(t.chain.size());
+    std::vector<lst::ManifestRef> prefix(t.chain.begin(),
+                                         t.chain.begin() + len);
+    cold.ClearCache();
+    auto snap = cold.Build(prefix);
+    ASSERT_TRUE(snap.ok());
+    for (const auto& c : t.checkpoints) {
+      if (c.sequence_id == snap->sequence_id()) return;  // blobs are immutable
+    }
+    std::string path = "tables/" + std::to_string(id) + "/checkpoints/c" +
+                       std::to_string(snap->sequence_id());
+    ASSERT_TRUE(store.Put(path, lst::Checkpoint::Serialize(*snap)).ok());
+    t.checkpoints.push_back({snap->sequence_id(), path});
+  };
+
+  auto check = [&](int id, bool newest) {
+    const Table& t = tables[id];
+    size_t len = newest ? t.chain.size() : 1 + rng.Uniform(t.chain.size());
+    std::vector<lst::ManifestRef> prefix(t.chain.begin(),
+                                         t.chain.begin() + len);
+    std::optional<lst::CheckpointRef> ckpt;
+    if (rng.Bernoulli(0.5)) {
+      for (const auto& c : t.checkpoints) {
+        if (c.sequence_id <= prefix.back().sequence_id &&
+            (!ckpt || rng.Bernoulli(0.5))) {
+          ckpt = c;
+        }
+      }
+    }
+    auto got = warm.Build(prefix, ckpt);
+    cold.ClearCache();
+    auto want = cold.Build(prefix, ckpt);
+    ASSERT_TRUE(got.ok());
+    ASSERT_TRUE(want.ok());
+    EXPECT_EQ(got->files(), want->files());
+    EXPECT_EQ(got->removed_blobs(), want->removed_blobs());
+    EXPECT_EQ(got->sequence_id(), want->sequence_id());
+  };
+
+  for (int i = 0; i < 6; ++i) commit(1);
+  for (int i = 0; i < 4; ++i) commit(2);
+  check(1, /*newest=*/true);
+  tables[3].chain = tables[1].chain;
+  tables[3].live = tables[1].live;
+  check(3, /*newest=*/true);  // no commits of its own: shares table 1's key
+
+  for (int step = 0; step < 150; ++step) {
+    int id = 1 + static_cast<int>(rng.Uniform(3));
+    double r = rng.NextDouble();
+    if (r < 0.35) {
+      commit(id);
+    } else if (r < 0.45) {
+      checkpoint(id);
+    } else {
+      check(id, /*newest=*/rng.Bernoulli(0.5));
+    }
+  }
+  auto stats = warm.cache_stats();
+  EXPECT_LE(stats.snapshots_cached, 3u);
+  EXPECT_GT(stats.snapshot_hits, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SnapshotCacheEquivalenceTest,
+                         ::testing::Values(7, 17, 27, 37, 47));
+
 }  // namespace
 }  // namespace polaris
